@@ -26,10 +26,12 @@ import (
 	"repro/internal/counter"
 	"repro/internal/gateway"
 	"repro/internal/nested"
+	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/sink"
 	"repro/internal/snzi"
+	"repro/internal/spdag"
 	"repro/internal/stallsim"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -696,6 +698,38 @@ func BenchmarkFetchAddIncDec(b *testing.B) {
 		l, _ := s.Increment(nil)
 		l.Decrement()
 	}
+}
+
+// BenchmarkSpawnSignalParallel — the spdag vertex lifecycle under
+// cross-worker sharing: every goroutine owns one ExecContext (bound to
+// a padded vertex-count shard, as a scheduler worker's is) and runs
+// Spawn+Signal+Recycle steps inside its own computation, all on one
+// shared Dag. Any per-vertex write to a line another goroutine writes
+// or reads, such as a dag-wide vertex counter, shows up here as ns/op
+// growing with -cpu; perfbench's single-threaded spdag.spawn_signal_ns
+// row cannot see it.
+func BenchmarkSpawnSignalParallel(b *testing.B) {
+	d := spdag.New(counter.FetchAdd{})
+	b.RunParallel(func(pb *testing.PB) {
+		ec := &spdag.ExecContext{G: rng.NewXoshiro(rng.AutoSeed())}
+		shard := new(struct {
+			n atomic.Int64
+			_ [56]byte
+		})
+		d.ShardVertices(ec, &shard.n)
+		root, _ := d.Make()
+		root.SetBody(func(u *spdag.Vertex) {
+			for pb.Next() {
+				v, w := u.Spawn()
+				w.Signal()
+				w.Recycle()
+				u.Recycle()
+				u = v
+			}
+			u.Signal()
+		})
+		root.Execute(ec)
+	})
 }
 
 // BenchmarkAblationPruning — §B space management on vs off: the cost

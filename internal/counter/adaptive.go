@@ -80,8 +80,6 @@ type AdaptiveStats struct {
 	// Demotions counts promoted counters that migrated back to the
 	// cell after a calm streak (batched mode only).
 	Demotions atomic.Uint64
-	// Counters counts counters created.
-	Counters atomic.Uint64
 }
 
 // PromotionReporter is implemented by algorithms that migrate between
@@ -154,9 +152,6 @@ func (a Adaptive) batch() uint64 {
 
 // New implements Algorithm.
 func (a Adaptive) New(initial int) Counter {
-	if a.Stats != nil {
-		a.Stats.Counters.Add(1)
-	}
 	c := &adaptiveCounter{contention: a.contention(), grow: a.Threshold, batch: a.batch(), stats: a.Stats}
 	c.cell.Store(int64(initial))
 	c.fa.c = c

@@ -451,3 +451,68 @@ func TestRegisterRejectsUnserializableResult(t *testing.T) {
 		t.Fatal("rejected template still registered")
 	}
 }
+
+// settleOnMiss is a sink backend whose Lookup miss on one id runs a
+// hook before reporting the miss. The hook publishes the run's record
+// and untracks it — what a dispatcher settling the run does — so it
+// lands exactly between a sink check and whatever the caller checks
+// next.
+type settleOnMiss struct {
+	*sink.Ring
+	id     string
+	settle func()
+}
+
+func (b *settleOnMiss) Lookup(id string) (*sink.RunRecord, bool) {
+	if rec, ok := b.Ring.Lookup(id); ok {
+		return rec, ok
+	}
+	if id == b.id && b.settle != nil {
+		settle := b.settle
+		b.settle = nil
+		settle()
+	}
+	return nil, false
+}
+
+// TestGetRunNeverTransiently404s forces a run to settle (publish, then
+// untrack) between GET /v1/runs/{id}'s two checks. Whatever order the
+// handler checks the pending map and the sink in, the answer must be
+// 202 or 200 — never 404 for a run that exists — and once settled the
+// run must read as 200.
+func TestGetRunNeverTransiently404s(t *testing.T) {
+	const id = "settling-run"
+	be := &settleOnMiss{Ring: sink.NewRing(0), id: id}
+	g := newTestGateway(t, Config{Sink: sink.New(be, sink.WithThreshold(1000), sink.WithInterval(time.Hour))})
+	srv := httptest.NewServer(g.Handler())
+	defer srv.Close()
+
+	settle := func() {
+		g.Sink().Publish(&sink.RunRecord{ID: id, Status: sink.StatusOK})
+		g.mu.Lock()
+		delete(g.runs, id)
+		g.mu.Unlock()
+	}
+	be.settle = settle
+	g.mu.Lock()
+	g.runs[id] = &request{id: id}
+	g.mu.Unlock()
+
+	get := func() int {
+		resp, err := http.Get(srv.URL + "/v1/runs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := get(); code != http.StatusAccepted && code != http.StatusOK {
+		t.Fatalf("GET while the run settles = %d, want 202 or 200", code)
+	}
+	if be.settle != nil { // the handler never reached the sink: settle now
+		settle()
+	}
+	if code := get(); code != http.StatusOK {
+		t.Fatalf("GET after the run settled = %d, want 200", code)
+	}
+}

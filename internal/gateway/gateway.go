@@ -561,9 +561,9 @@ func (g *Gateway) dispatch(id int) {
 		req.ten.hist.Record(id, wait+run)
 		g.histFor(req.tpl.Name).Record(id, wait+run)
 
-		// Publish before untracking: GET /v1/runs/{id} checks the sink
-		// first, so at every instant the id resolves to exactly one of
-		// pending (runs map) or done (sink) — never a transient 404.
+		// Publish before untracking: GET /v1/runs/{id} checks the runs
+		// map first and the sink second, so an id it no longer finds
+		// pending has already been published — never a transient 404.
 		rec := g.record(req, err, wait, run, info)
 		g.sink.Publish(rec)
 

@@ -232,23 +232,25 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleGetRun is the async lifecycle's read side, the 404→202→200
-// taxonomy: a record in the sink is done (200, the RunRecord —
-// whatever its status: ok, failed, canceled, hung), a run the gateway
-// still tracks is pending (202), anything else is unknown (404
-// envelope). The sink is consulted first and dispatchers publish
-// before they untrack, so an id never transiently vanishes between
-// the two states.
+// taxonomy: a run the gateway still tracks is pending (202), a record
+// in the sink is done (200, the RunRecord — whatever its status: ok,
+// failed, canceled, hung), anything else is unknown (404 envelope).
+// The pending map is consulted first: dispatchers publish before they
+// untrack, so an id already gone from the map is already in the sink,
+// and an id never transiently vanishes between the two states. (The
+// opposite order is racy: a run published and untracked between a
+// sink miss and the map check would 404.)
 func (g *Gateway) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if rec, ok := g.sink.Lookup(id); ok {
-		writeJSON(w, http.StatusOK, rec)
-		return
-	}
 	g.mu.Lock()
 	_, pending := g.runs[id]
 	g.mu.Unlock()
 	if pending {
 		writeJSON(w, http.StatusAccepted, RunStatusResponse{RunID: id, Status: "pending"})
+		return
+	}
+	if rec, ok := g.sink.Lookup(id); ok {
+		writeJSON(w, http.StatusOK, rec)
 		return
 	}
 	g.writeError(w, fmt.Errorf("%w: %q", ErrUnknownRun, id))

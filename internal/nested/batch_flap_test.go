@@ -123,9 +123,8 @@ func TestBatchedFlapBothPolicies(t *testing.T) {
 			if got := stats.Demotions.Load(); got == 0 {
 				t.Fatal("calm waves produced no demotions: the decay path never fired in the runtime")
 			}
-			t.Logf("%s: promotions=%d demotions=%d counters=%d",
-				pol.name, stats.Promotions.Load(), stats.Demotions.Load(),
-				stats.Counters.Load())
+			t.Logf("%s: promotions=%d demotions=%d",
+				pol.name, stats.Promotions.Load(), stats.Demotions.Load())
 		})
 	}
 }

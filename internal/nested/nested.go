@@ -205,6 +205,7 @@ func New(cfg Config) *Runtime {
 		dopts = append(dopts, spdag.WithRecorder(cfg.Recorder))
 	}
 	r := &Runtime{sched: s, dag: spdag.New(alg, dopts...), hook: cfg.RunHook}
+	s.ShardVertices(r.dag)
 	s.Start()
 	return r
 }

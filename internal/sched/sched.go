@@ -145,12 +145,16 @@ const (
 // layout_test.go. Steals are split by victim locality — localSteals
 // from same-node victims, remoteSteals from other nodes (on a flat
 // topology every victim is local); their sum is the total steal count.
+// vertices is the worker's shard of its dag's vertex count (see
+// ShardVertices): every line here is written by the owner alone, so
+// counting a vertex never touches a line another worker writes.
 type workerStats struct {
 	_            [64]byte
 	localSteals  atomic.Uint64 // successful steals from same-node victims
 	remoteSteals atomic.Uint64 // successful steals from remote-node victims
 	executed     atomic.Uint64 // vertices executed
-	_            [40]byte
+	vertices     atomic.Int64  // vertices created in the sharded dag
+	_            [32]byte
 }
 
 // worker is one scheduling slot: a goroutine pinned to a deque while
@@ -374,6 +378,21 @@ func New(p int, opts ...Option) *Scheduler {
 	return s
 }
 
+// ShardVertices makes every worker slot count the vertices it creates
+// in d on its own stats line, registered with d so that d.VertexCount
+// sums them (spdag.Dag.ShardVertices). Dormant slots are bound too, so
+// counts stay exact across elastic retire/respawn: a slot's shard, like
+// its other stats, outlives any one worker goroutine. Call it before
+// Start; a scheduler shards at most one dag.
+func (s *Scheduler) ShardVertices(d *spdag.Dag) {
+	if s.started.Load() {
+		panic("sched: ShardVertices after Start")
+	}
+	for _, w := range s.workers {
+		d.ShardVertices(&w.ctx, &w.stats.vertices)
+	}
+}
+
 // Policy returns the stealing mechanism in use.
 func (s *Scheduler) Policy() Policy { return s.policy }
 
@@ -504,7 +523,9 @@ func (s *Scheduler) signalWork() {
 	}
 	if s.wakeOne() {
 		if s.elastic {
-			s.pressure.Store(0)
+			if s.pressure.Load() != 0 {
+				s.pressure.Store(0)
+			}
 			s.clearPegged()
 		}
 		return
@@ -530,11 +551,23 @@ func (s *Scheduler) clearPegged() {
 // step is applied under a CAS (a failed CAS means another producer's
 // step landed first; re-read and step again, which preserves the
 // every-attempt-counts accounting of the old atomic Add).
+//
+// maybeSpawn runs on every push that finds no parked worker, so it
+// must not write the scheduler-wide pressure word when the write
+// changes nothing (DESIGN.md §5: no per-vertex write to a line every
+// worker writes). Two steps write nothing: one that leaves the counter
+// unchanged (a busy pool's empty injector, no pressure built up), and
+// a backlogged one while the pool is pegged — at its ceiling with the
+// overload already stamped, where a crossing could neither spawn nor
+// stamp.
 func (s *Scheduler) maybeSpawn() {
 	for {
 		old := s.pressure.Load()
 		next, signal := SpawnPressureStep(int(s.inj.size.Load()), old)
-		if !s.pressure.CompareAndSwap(old, next) {
+		if signal != SignalIdle && s.peggedSince.Load() != 0 && int(s.nlive.Load()) >= len(s.workers) {
+			return
+		}
+		if next != old && !s.pressure.CompareAndSwap(old, next) {
 			continue
 		}
 		switch signal {

@@ -173,10 +173,12 @@ func (s *Scheduler) watchdog() {
 		if since < s.wdThreshold {
 			continue
 		}
-		s.wdStalls.Add(1)
+		// Report, then count: whoever sees Stalls() move knows the
+		// hook has already run for that stall.
 		if fn := s.onStall.Load(); fn != nil {
 			(*fn)(s.stallReport(since))
 		}
+		s.wdStalls.Add(1)
 		// Recovery nudge: re-deliver wake tokens to every parked worker.
 		// Safe unconditionally (spurious wakes are absorbed by the park
 		// protocol); sufficient whenever the stall is a lost wake with

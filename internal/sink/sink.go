@@ -120,7 +120,42 @@ type Sink struct {
 type sinkShard struct {
 	mu  sync.Mutex
 	buf []*RunRecord
-	_   [40]byte // keep shards off one cache line under fan-in publish
+	// flushing holds batches taken from buf whose backend write has not
+	// returned yet. Lookup searches them too, so a record stays visible
+	// while it moves from the buffer to the backend.
+	flushing [][]*RunRecord
+	_        [16]byte // keep shards off one cache line under fan-in publish
+}
+
+// takeLocked moves the buffer into the in-flight set and returns it;
+// the caller holds sh.mu and must call landed once the write returns.
+func (sh *sinkShard) takeLocked() []*RunRecord {
+	b := sh.buf
+	sh.buf = nil
+	sh.flushing = append(sh.flushing, b)
+	return b
+}
+
+// landed drops a batch taken by takeLocked from the in-flight set.
+func (sh *sinkShard) landed(b []*RunRecord) {
+	sh.mu.Lock()
+	for i, f := range sh.flushing {
+		if &f[0] == &b[0] {
+			sh.flushing = append(sh.flushing[:i], sh.flushing[i+1:]...)
+			break
+		}
+	}
+	sh.mu.Unlock()
+}
+
+// find returns the newest record with the given id in recs, or nil.
+func find(recs []*RunRecord, id string) *RunRecord {
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].ID == id {
+			return recs[i]
+		}
+	}
+	return nil
 }
 
 // Option configures a Sink at construction.
@@ -206,31 +241,33 @@ func (s *Sink) Publish(rec *RunRecord) {
 	sh.buf = append(sh.buf, rec)
 	var batch []*RunRecord
 	if len(sh.buf) >= s.threshold {
-		batch = sh.buf
-		sh.buf = nil
+		batch = sh.takeLocked()
 	}
 	sh.mu.Unlock()
 	if batch != nil {
 		s.write(batch)
+		sh.landed(batch)
 	}
 }
 
 // Lookup finds a record by id: the unflushed buffers first (a record
 // is visible the moment Publish returns, flushed or not), then the
-// backend's Querier if it has one. Records already flushed to a
-// non-queryable backend (JSONL, HTTP) are not found here — query the
-// backend's own store instead.
+// batches being written, then the backend's Querier if it has one — so
+// on a queryable backend a published record never transiently
+// vanishes mid-flush. Records already flushed to a non-queryable
+// backend (JSONL, HTTP) are not found here — query the backend's own
+// store instead.
 func (s *Sink) Lookup(id string) (*RunRecord, bool) {
 	sh := &s.shards[fnv1a(id)&uint32(len(s.shards)-1)]
 	sh.mu.Lock()
-	for i := len(sh.buf) - 1; i >= 0; i-- {
-		if sh.buf[i].ID == id {
-			rec := sh.buf[i]
-			sh.mu.Unlock()
-			return rec, true
-		}
+	rec := find(sh.buf, id)
+	for i := len(sh.flushing) - 1; rec == nil && i >= 0; i-- {
+		rec = find(sh.flushing[i], id)
 	}
 	sh.mu.Unlock()
+	if rec != nil {
+		return rec, true
+	}
 	if s.querier != nil {
 		return s.querier.Lookup(id)
 	}
@@ -242,19 +279,29 @@ func (s *Sink) Lookup(id string) (*RunRecord, bool) {
 // the write failed (the batch is counted dropped, not retried).
 func (s *Sink) Flush(ctx context.Context) error {
 	var batch []*RunRecord
+	var taken [][]*RunRecord // per shard, nil where nothing was buffered
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		if len(sh.buf) > 0 {
-			batch = append(batch, sh.buf...)
-			sh.buf = nil
+			if taken == nil {
+				taken = make([][]*RunRecord, len(s.shards))
+			}
+			taken[i] = sh.takeLocked()
+			batch = append(batch, taken[i]...)
 		}
 		sh.mu.Unlock()
 	}
 	if len(batch) == 0 {
 		return nil
 	}
-	return s.writeCtx(ctx, batch)
+	err := s.writeCtx(ctx, batch)
+	for i, b := range taken {
+		if b != nil {
+			s.shards[i].landed(b)
+		}
+	}
+	return err
 }
 
 // Stats snapshots the coalescing ledger.

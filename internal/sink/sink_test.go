@@ -112,6 +112,51 @@ func TestLookupUnflushed(t *testing.T) {
 	}
 }
 
+// stallingRing is a Ring whose writes wait for release after signalling
+// entered, holding a batch in flight for as long as a test needs.
+type stallingRing struct {
+	*Ring
+	entered, release chan struct{}
+}
+
+func (r *stallingRing) WriteBatch(ctx context.Context, recs []*RunRecord) error {
+	r.entered <- struct{}{}
+	<-r.release
+	return r.Ring.WriteBatch(ctx, recs)
+}
+
+// TestLookupMidFlush: a record is visible while its batch is being
+// written — out of the buffer, not yet in the backend — for threshold
+// flushes and explicit Flushes alike.
+func TestLookupMidFlush(t *testing.T) {
+	be := &stallingRing{Ring: NewRing(8), entered: make(chan struct{}), release: make(chan struct{})}
+	s := New(be, WithShards(1), WithThreshold(2), WithInterval(time.Hour))
+	defer s.Close()
+	for _, step := range []struct {
+		ids   []string
+		flush func()
+	}{
+		{[]string{"a", "b"}, func() { s.Publish(rec("a")); s.Publish(rec("b")) }}, // threshold flush
+		{[]string{"c"}, func() { s.Publish(rec("c")); _ = s.Flush(context.Background()) }},
+	} {
+		done := make(chan struct{})
+		go func() { defer close(done); step.flush() }()
+		<-be.entered
+		for _, id := range step.ids {
+			if _, ok := s.Lookup(id); !ok {
+				t.Fatalf("Lookup(%q) missed a record whose batch is mid-write", id)
+			}
+		}
+		be.release <- struct{}{}
+		<-done
+		for _, id := range step.ids {
+			if _, ok := s.Lookup(id); !ok {
+				t.Fatalf("Lookup(%q) missed a record the ring holds", id)
+			}
+		}
+	}
+}
+
 // TestDroppedAccounting: a refusing backend costs the batch, is
 // counted, and never blocks publishes.
 func TestDroppedAccounting(t *testing.T) {

@@ -27,6 +27,7 @@
 package spdag
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/counter"
@@ -70,6 +71,12 @@ type ExecContext struct {
 	// Home keeps every counter on its unbuffered path.
 	Home *counter.Home
 
+	// vdag/vshard route this context's vertex count (see
+	// Dag.ShardVertices): vertices it creates in vdag count on vshard,
+	// a word only the owner writes, instead of on the dag-level atomic.
+	vdag   *Dag
+	vshard *atomic.Int64
+
 	free       []*Vertex     // recycled vertices, owner-only (see pool.go)
 	flushReady func(tag any) // cached FlushCounters callback (one alloc per worker)
 	flushedRdy int           // vertices readied by the current FlushAll, owner-only
@@ -107,12 +114,26 @@ type Recorder interface {
 }
 
 // Dag is a series-parallel dag under construction/execution.
+//
+// Layout: the header (alg, schedule, rec) is set by New and read on
+// every vertex operation by every worker, so it is kept a full line
+// away from the fields below it that are written; otherwise each write
+// would invalidate the header in every reader's cache. The vertex count
+// is split the same way for the same reason: contexts bound with
+// ShardVertices count on their own shard, and only context-less
+// creations (Make, NewVertex, inline contexts) touch d.vertices.
+// Asserted in layout_test.go.
 type Dag struct {
 	alg      counter.Algorithm
 	schedule func(*Vertex)
 	rec      Recorder
-	ids      atomic.Uint64
-	vertices atomic.Int64
+	_        [64]byte
+
+	ids      atomic.Uint64 // recorder ids (written only with a Recorder)
+	vertices atomic.Int64  // vertices created by no sharded context
+
+	mu     sync.Mutex      // guards shards
+	shards []*atomic.Int64 // per-context vertex counts, see ShardVertices
 }
 
 // Option configures a Dag.
@@ -145,8 +166,41 @@ func New(alg counter.Algorithm, opts ...Option) *Dag {
 // Algorithm returns the dependency-counter algorithm in use.
 func (d *Dag) Algorithm() counter.Algorithm { return d.alg }
 
-// VertexCount returns the number of vertices created so far.
-func (d *Dag) VertexCount() int64 { return d.vertices.Load() }
+// VertexCount returns the number of vertices created so far: the
+// dag-level count plus every shard registered with ShardVertices. It
+// is exact once the dag is quiescent; while vertices are being created
+// it is a sum of per-shard snapshots.
+func (d *Dag) VertexCount() int64 {
+	n := d.vertices.Load()
+	d.mu.Lock()
+	for _, s := range d.shards {
+		n += s.Load()
+	}
+	d.mu.Unlock()
+	return n
+}
+
+// ShardVertices makes ec count the vertices it creates in d on shard
+// instead of on d's dag-level counter, and registers shard so that
+// VertexCount includes it. shard should sit on a cache line that only
+// ec's owner writes (a scheduler uses its worker's stats line): the
+// per-vertex count is then an uncontended add rather than an RMW on
+// one word every worker writes. Vertices ec creates in any other dag
+// keep counting on that dag's own counter.
+//
+// A context shards at most one dag; binding it again panics.
+// Bind before ec's owner starts executing, and keep shard alive (and
+// never reset) for as long as d is counted: shards are cumulative, so
+// a shard survives its context going idle or being drained.
+func (d *Dag) ShardVertices(ec *ExecContext, shard *atomic.Int64) {
+	if ec.vdag != nil {
+		panic("spdag: ShardVertices on a context already bound to a dag")
+	}
+	d.mu.Lock()
+	d.shards = append(d.shards, shard)
+	d.mu.Unlock()
+	ec.vdag, ec.vshard = d, shard
+}
 
 // Vertex is a node of the sp-dag: one fine-grained thread of control.
 type Vertex struct {
@@ -191,12 +245,14 @@ func (v *Vertex) SetInjNext(n *Vertex) { v.injNext.Store(n) }
 // SNZI baseline "allocates for each finish block a SNZI tree" (§5),
 // not for every vertex.
 func (d *Dag) NewVertex(fin *Vertex, st counter.State, n int) *Vertex {
+	d.vertices.Add(1)
 	return d.newVertex(nil, fin, st, n)
 }
 
 // newVertex is NewVertex drawing storage from the given execution
 // context's freelist (nil falls back to the shared pool); it is the
-// allocation-free path Spawn and Chain use.
+// allocation-free path Spawn and Chain use. It does not count the
+// vertex: callers count the vertices they create together (see count).
 func (d *Dag) newVertex(ctx *ExecContext, fin *Vertex, st counter.State, n int) *Vertex {
 	v := grab(ctx)
 	v.dag, v.st, v.fin = d, st, fin
@@ -206,12 +262,22 @@ func (d *Dag) newVertex(ctx *ExecContext, fin *Vertex, st counter.State, n int) 
 	if n > 0 {
 		v.ctr = d.alg.New(n)
 	}
-	d.vertices.Add(1)
 	if d.rec != nil {
 		v.id = d.ids.Add(1)
 		d.rec.OnVertex(v)
 	}
 	return v
+}
+
+// count adds n created vertices to ctx's shard when ctx shards d (see
+// ShardVertices), else to d's own counter. Spawn and Chain count their
+// two vertices in one add.
+func (d *Dag) count(ctx *ExecContext, n int64) {
+	if ctx != nil && ctx.vdag == d {
+		ctx.vshard.Add(n)
+	} else {
+		d.vertices.Add(n)
+	}
 }
 
 // Make creates a fresh computation: a root vertex and its final
@@ -231,6 +297,7 @@ func (d *Dag) Make() (root, final *Vertex) {
 	final.pinned = true
 	root = d.newVertex(nil, final, final.ctr.RootState(), 0)
 	root.pinned = true
+	d.vertices.Add(2)
 	return root, final
 }
 
@@ -282,6 +349,7 @@ func (u *Vertex) Chain() (v, w *Vertex) {
 	d := u.dag
 	w = d.newVertex(u.ctx, u.fin, u.st, 1)
 	v = d.newVertex(u.ctx, w, w.ctr.RootState(), 0)
+	d.count(u.ctx, 2)
 	v.ctx, w.ctx = u.ctx, u.ctx
 	if d.rec != nil {
 		d.rec.OnEdge(u, v)
@@ -311,6 +379,7 @@ func (u *Vertex) Spawn() (v, w *Vertex) {
 	u.releaseState() // Increment was u's final use of its State
 	v = d.newVertex(u.ctx, u.fin, l, 0)
 	w = d.newVertex(u.ctx, u.fin, r, 0)
+	d.count(u.ctx, 2)
 	v.ctx, w.ctx = u.ctx, u.ctx
 	if d.rec != nil {
 		d.rec.OnEdge(u, v)
